@@ -10,8 +10,8 @@ Single questions are a two-outcome expectation.  For sets we avoid the
 distinct answer combinations actually have support.  ``R_Q`` is the
 pattern-mass-weighted expectation of the measure over the compatible
 sub-spaces (exact whenever all orderings are decisive on all questions,
-e.g. when ``K = N``; the canonical tractable reading otherwise — see
-DESIGN.md §3.3).
+e.g. when ``K = N``; the canonical tractable reading otherwise, since a
+path silent on a question survives either answer).
 
 Batched evaluation
 ------------------
@@ -21,8 +21,9 @@ objects per candidate.  The batch engine instead works on *hypothetical
 posteriors*: an answer outcome is just a masked reweighting of the path
 probability vector, so
 
-1. :meth:`ResidualEvaluator.stance_matrix` computes the full ``(L, B)``
-   stance matrix for all candidates in one shot from ``positions()``;
+1. :meth:`ResidualEvaluator.codes_matrix` computes the full ``(L, B)``
+   stance matrix for all candidates in one shot via
+   :meth:`~repro.tpo.space.OrderingSpace.stance_matrix`;
 2. both answer branches of every candidate become rows of one ``(≤2B, L)``
    weight matrix, priced by a single call to
    :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_batch`

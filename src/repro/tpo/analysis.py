@@ -101,12 +101,13 @@ def question_impact_table(
     measure = measure if measure is not None else EntropyMeasure()
     evaluator = ResidualEvaluator(measure)
     current = evaluator.uncertainty(space)
+    questions = informative_questions(space)
+    residuals = evaluator.rank_singles_batch(space, questions)
     rows = []
-    for question in informative_questions(space):
-        residual = evaluator.single(space, question)
-        rows.append((question, residual, current - residual))
-    rows.sort(key=lambda row: row[1])
-    return rows[:top]
+    for index in np.argsort(residuals, kind="stable")[:top]:
+        residual = float(residuals[index])
+        rows.append((questions[index], residual, current - residual))
+    return rows
 
 
 def tuple_volatility(space: OrderingSpace) -> np.ndarray:

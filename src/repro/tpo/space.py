@@ -172,7 +172,7 @@ class OrderingSpace:
         """
         pos = self.positions()
         pi, pj = pos[:, i], pos[:, j]
-        return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
+        return (pi < pj).view(np.int8) - (pj < pi).view(np.int8)
 
     def stance_matrix(
         self, i_indices: Sequence[int], j_indices: Sequence[int]
@@ -193,7 +193,10 @@ class OrderingSpace:
             raise ValueError("i_indices and j_indices must be aligned 1-D")
         pi = pos[:, i_indices]
         pj = pos[:, j_indices]
-        return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
+        # Subtracting the two bool masks (viewed as int8, no copy) gives
+        # the +1/0/-1 codes directly, in the F order of the fancy-indexed
+        # gathers (``rank_singles_batch``'s matvecs depend on that order).
+        return (pi < pj).view(np.int8) - (pj < pi).view(np.int8)
 
     def answer_probability(self, i: int, j: int) -> float:
         """``Pr(t_i ≺ t_j)`` under the space's own distribution.
@@ -393,7 +396,9 @@ class OrderingSpace:
             )
         return marginals
 
-    def pairwise_order_masses(self) -> Tuple[np.ndarray, np.ndarray]:
+    def pairwise_order_masses(
+        self, weights: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-pair order and co-absence masses, accumulated over ranks.
 
         Returns two ``(N, N)`` arrays ``(less, both_absent)`` where
@@ -402,13 +407,22 @@ class OrderingSpace:
         mass of paths containing neither tuple — the only way two distinct
         tuples share a position under the top-K prefix semantics.
 
+        ``weights`` replaces the path probabilities by any non-negative
+        ``(L,)`` path weights; both arrays are then sums of those weights
+        (bounded by their total instead of 1).  0/1 indicator weights
+        yield exact integer path counts.
+
         Accumulates rank-pair counts with ``bincount`` over the ``(L, K)``
         path table, so peak memory is ``O(L·N + N²)`` rather than the
         ``O(L·N²)`` of a dense per-path stance tensor — the blow-up that
         made the ORA objective unusable at large ``L``.
         """
         n = self.n_tuples
-        p = self.probabilities
+        if weights is None:
+            p, total = self.probabilities, 1.0
+        else:
+            p = np.asarray(weights, dtype=np.float64)
+            total = float(p.sum())
         paths = self.paths.astype(np.int64)
         flat_bins = n * n
         strict = np.zeros(flat_bins, dtype=np.float64)
@@ -426,10 +440,10 @@ class OrderingSpace:
         # present-i over absent-j, by inclusion–exclusion over presence.
         less = strict + present_mass[:, None] - both_present
         both_absent = (
-            1.0 - present_mass[:, None] - present_mass[None, :] + both_present
+            total - present_mass[:, None] - present_mass[None, :] + both_present
         )
-        np.clip(less, 0.0, 1.0, out=less)
-        np.clip(both_absent, 0.0, 1.0, out=both_absent)
+        np.clip(less, 0.0, total, out=less)
+        np.clip(both_absent, 0.0, total, out=both_absent)
         np.fill_diagonal(less, 0.0)
         np.fill_diagonal(both_absent, 0.0)
         return less, both_absent

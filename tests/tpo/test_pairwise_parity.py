@@ -88,3 +88,19 @@ def test_stance_matrix_matches_agreement_codes(seed):
         np.testing.assert_array_equal(
             stances[:, column], space.agreement_codes(i, j)
         )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_order_masses_are_exact_path_counts(seed):
+    """0/1 path weights turn both matrices into integer path counts."""
+    space = random_space(seed, n=7, k=3, count=30)
+    weights = (np.random.default_rng(seed).random(space.size) < 0.6).astype(float)
+    less, both_absent = space.pairwise_order_masses(weights=weights)
+    pos = space.positions()
+    live = weights > 0
+    above = (pos[live, :, None] < pos[live, None, :]).sum(axis=0)
+    absent = pos[live] == space.depth
+    neither = (absent[:, :, None] & absent[:, None, :]).sum(axis=0)
+    np.fill_diagonal(neither, 0)
+    np.testing.assert_array_equal(less, above)
+    np.testing.assert_array_equal(both_absent, neither)
