@@ -16,13 +16,9 @@ Quick start (the typed :mod:`repro.api` front door)::
     print(result.summary())
 
 Lower-level building blocks (distributions, builders, sessions, crowds)
-remain importable from this package for programmatic composition.  The
-old module-level factories (``make_policy``, ``get_measure``,
-``make_workload``, ``make_builder``) are deprecated shims over
-:mod:`repro.api` and emit :class:`DeprecationWarning`.
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced figure and table.
+remain importable from this package for programmatic composition;
+pluggable components are constructed through the :mod:`repro.api`
+registries and specs.
 """
 
 from repro import api
@@ -39,7 +35,6 @@ from repro.core import (
     Top1OnlinePolicy,
     TopBPolicy,
     UncertaintyReductionSession,
-    make_policy,
 )
 from repro.crowd import (
     GroundTruth,
@@ -75,7 +70,6 @@ from repro.tpo import (
     OrderingSpace,
     TPOTree,
     expected_ranks,
-    make_builder,
     profile_space,
     pt_k,
     u_kranks,
@@ -86,7 +80,6 @@ from repro.uncertainty import (
     MPOUncertainty,
     ORAUncertainty,
     WeightedEntropyMeasure,
-    get_measure,
 )
 
 __version__ = "1.0.0"
@@ -111,7 +104,6 @@ __all__ = [
     "GridBuilder",
     "ExactBuilder",
     "MonteCarloBuilder",
-    "make_builder",
     "u_topk",
     "u_kranks",
     "pt_k",
@@ -122,7 +114,6 @@ __all__ = [
     "WeightedEntropyMeasure",
     "ORAUncertainty",
     "MPOUncertainty",
-    "get_measure",
     # questions
     "Question",
     "Answer",
@@ -139,7 +130,6 @@ __all__ = [
     # core
     "UncertaintyReductionSession",
     "SessionResult",
-    "make_policy",
     "POLICIES",
     "RandomPolicy",
     "NaivePolicy",

@@ -13,7 +13,9 @@ One front door for everything pluggable and everything declarative:
   ``content_key``) that plug straight into the BLAKE2b content-addressing
   used by the TPO cache and the experiment grid.
 * **Execution** (:func:`run_session` / :func:`prepare_session`): turn a
-  :class:`SessionSpec` into a deterministic, reproducible session run.
+  :class:`SessionSpec` into a deterministic, reproducible session run;
+  :func:`replay_session` re-applies a recorded log of
+  :data:`AnswerTuple` answers.
 
 Quick start::
 
@@ -25,11 +27,6 @@ Quick start::
     )
     result = run_session(spec)
     print(result.summary())
-
-The deprecated module-level factories (``repro.core.make_policy``,
-``repro.uncertainty.get_measure``, ``repro.workloads.make_workload``,
-``repro.tpo.make_builder``) are thin shims over this package and emit
-:class:`DeprecationWarning`.
 """
 
 from repro.api.canonical import canonical_json, content_key
@@ -52,6 +49,7 @@ from repro.api.registry import (
     UnknownNameError,
 )
 from repro.api.run import (
+    AnswerTuple,
     PreparedSession,
     ReplayResult,
     prepare_session,
@@ -118,6 +116,7 @@ __all__ = [
     "SHARD_STRATEGIES",
     "as_instance_spec",
     # execution
+    "AnswerTuple",
     "PreparedSession",
     "ReplayResult",
     "prepare_session",

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.api.specs import SessionSpec
+from repro.questions.model import AnswerTuple
 from repro.utils.rng import derive_seed
-
-#: One recorded crowd answer: ``(i, j, holds, accuracy)``, canonical
-#: ``i < j`` — the same shape session snapshots and the service event
-#: log store.
-AnswerTuple = Tuple[int, int, bool, float]
 
 
 @dataclass
@@ -108,28 +104,34 @@ def replay_session(
 
     ``evaluator`` overrides the :class:`ResidualEvaluator` (e.g. to share
     evaluation counters); by default one is built from ``spec.measure``.
+    The answers are applied by :meth:`InteractiveSession.replay`, so a
+    reversed pair ``(j, i, holds, …)`` means the same as ``(i, j, not
+    holds, …)`` here as everywhere else.
     """
-    from repro.questions.model import Question
+    from repro.core.session import InteractiveSession
     from repro.questions.residual import ResidualEvaluator
 
     distributions = spec.instance.materialize()
     tree = spec.build_builder().build(distributions, spec.instance.k)
-    space = tree.to_space()
     if evaluator is None:
         evaluator = ResidualEvaluator(spec.measure.build())
-    uncertainties = [evaluator.uncertainty(space)]
-    intervals = [evaluator.uncertainty_interval(space)]
-    orderings = [int(space.size)]
-    for i, j, holds, accuracy in answers:
-        space = evaluator.apply_answer(
-            space, Question(int(i), int(j)), bool(holds), float(accuracy)
-        )
-        uncertainties.append(evaluator.uncertainty(space))
-        intervals.append(evaluator.uncertainty_interval(space))
+    session = InteractiveSession(
+        distributions, spec.instance.k, tree.to_space(), evaluator=evaluator
+    )
+    uncertainties: List[float] = []
+    intervals: List[Tuple[float, float]] = []
+    orderings: List[int] = []
+
+    def record(space: Any) -> None:
+        uncertainties.append(session.evaluator.uncertainty(space))
+        intervals.append(session.evaluator.uncertainty_interval(space))
         orderings.append(int(space.size))
+
+    record(session.space)
+    session.replay(answers, on_state=record)
     return ReplayResult(
         spec=spec,
-        space=space,
+        space=session.space,
         uncertainties=uncertainties,
         intervals=intervals,
         orderings=orderings,

@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # deferred: specs must import nothing heavy at runtime
     from repro.crowd.simulator import SimulatedCrowd
     from repro.distributions.base import ScoreDistribution
 
-from repro.api._deprecation import warn_deprecated
 from repro.api.canonical import canonical_json, content_key
 from repro.api.catalog import (
     CROWD_MODELS,
@@ -437,10 +436,10 @@ class SessionSpec:
 
     The engine is configured with a typed :class:`EngineSpec` (pass one
     — or its dict form — as ``engine``); the loose ``engine`` string +
-    ``engine_params`` dict pair remains as the storage/wire shape, and
-    passing a non-empty ``engine_params`` directly to the constructor is
-    deprecated.  :meth:`from_dict` replays historical payloads without
-    warning.
+    ``engine_params`` dict pair remains as the storage/wire shape only.
+    Passing a non-empty ``engine_params`` to the constructor raises
+    ``ValueError``; :meth:`from_dict` folds historical payloads into an
+    :class:`EngineSpec` without warning.
     """
 
     instance: InstanceSpec
@@ -476,25 +475,14 @@ class SessionSpec:
             object.__setattr__(
                 self, "budget", BudgetSpec.from_dict(self.budget)
             )
-        if isinstance(self.engine, (EngineSpec, Mapping)):
-            if self.engine_params:
-                raise ValueError(
-                    "pass engine parameters inside the EngineSpec, not "
-                    "through the deprecated engine_params field"
-                )
-            spec = EngineSpec.from_dict(self.engine)
-            object.__setattr__(self, "engine", spec.name)
-            object.__setattr__(self, "engine_params", dict(spec.params))
-        else:
-            if self.engine not in ENGINES:
-                ENGINES.get(self.engine)
-            params = _canonical_params(self.engine_params, "engine")
-            if params:
-                warn_deprecated(
-                    "SessionSpec(engine_params=...)",
-                    "repro.api.EngineSpec",
-                )
-            object.__setattr__(self, "engine_params", params)
+        if self.engine_params:
+            raise ValueError(
+                "SessionSpec(engine_params=...) is not accepted; use "
+                "EngineSpec: SessionSpec(engine=EngineSpec(name, params))"
+            )
+        spec = EngineSpec.from_dict(self.engine)
+        object.__setattr__(self, "engine", spec.name)
+        object.__setattr__(self, "engine_params", dict(spec.params))
 
     # -- round trip ----------------------------------------------------
 

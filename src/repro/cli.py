@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "id",
-        help="experiment id from DESIGN.md §5 (e.g. FIG1A) or 'all'",
+        help="experiment id (e.g. FIG1A) or 'all'",
     )
     experiment.add_argument(
         "--full",
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_grid.add_argument(
         "ids",
         nargs="+",
-        help="experiment ids from DESIGN.md §5 (e.g. FIG1A) or 'all'",
+        help="experiment ids (e.g. FIG1A) or 'all'",
     )
     run_grid.add_argument(
         "--workers",

@@ -1,17 +1,24 @@
 """The uncertainty-reduction session: policy × crowd × TPO orchestration.
 
-A session owns everything one top-K-with-crowd run needs — the uncertain
-scores, the TPO builder, the uncertainty measure, and the (simulated)
-crowd — and executes a question-selection policy against a budget, keeping
-the books the experiments need: questions asked, CPU time split into
-build/select/update, uncertainty before/after, and the paper's quality
-metric ``D(ω_r, T_K)``.
+:class:`InteractiveSession` is the one session state machine: an initial
+ordering space plus the log of applied answers, where each answer prunes
+(reliable) or reweights (noisy) the space.  Replaying a log anywhere — a
+snapshot restore, :func:`repro.api.replay_session`, the service's resume —
+applies its answer method to each answer in turn.
+
+:class:`UncertaintyReductionSession` is the batch driver on top of it.  It
+owns everything one top-K-with-crowd run needs — the uncertain scores, the
+TPO builder, the uncertainty measure, and the (simulated) crowd — and
+steps the state machine with a question-selection policy against a
+budget, keeping the books the experiments need: questions asked, CPU time
+split into build/select/update, uncertainty before/after, and the paper's
+quality metric ``D(ω_r, T_K)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from repro.core.policies.base import (
 from repro.crowd.simulator import SimulatedCrowd
 from repro.distributions.base import ScoreDistribution
 from repro.questions.candidates import all_pair_questions, relevant_questions
-from repro.questions.model import Answer, Question
+from repro.questions.model import Answer, AnswerTuple, Question
 from repro.questions.residual import ResidualEvaluator, select_min_residual
 from repro.questions.transitive import InferenceCache
 from repro.rank.kendall import DEFAULT_PENALTY, expected_topk_distance
@@ -151,10 +158,12 @@ class UncertaintyReductionSession:
             space, reference, penalty=self.penalty, normalized=True
         )
 
-    def _candidates(self, space: OrderingSpace, pool: str) -> List[Question]:
+    def _candidates(
+        self, core: "InteractiveSession", pool: str
+    ) -> List[Question]:
         if pool == POOL_ALL:
-            return all_pair_questions(space)
-        return relevant_questions(space, self.distributions)
+            return all_pair_questions(core.space)
+        return core.candidates()
 
     # ------------------------------------------------------------------
 
@@ -174,6 +183,7 @@ class UncertaintyReductionSession:
             self._inference = InferenceCache(
                 len(self.distributions), self.distributions
             )
+        # incr prunes partial trees, not spaces, so it skips InteractiveSession.
         if isinstance(policy, IncrementalAlgorithm):
             return self._run_incremental(policy, budget)
         with self.watch.span("build"):
@@ -184,10 +194,13 @@ class UncertaintyReductionSession:
         orderings_initial = space.size
         trajectory = [initial_distance] if self.track_trajectory else None
         answers: List[Answer] = []
+        core = InteractiveSession(
+            self.distributions, self.k, space, evaluator=self.evaluator
+        )
         if isinstance(policy, OfflinePolicy):
-            space = self._run_offline(policy, space, budget, answers, trajectory)
+            self._run_offline(policy, core, budget, answers, trajectory)
         elif isinstance(policy, OnlinePolicy):
-            space = self._run_online(policy, space, budget, answers, trajectory)
+            self._run_online(policy, core, budget, answers, trajectory)
         else:
             raise TypeError(
                 f"{type(policy).__name__} is neither offline, online, nor incr"
@@ -196,7 +209,7 @@ class UncertaintyReductionSession:
             policy,
             budget,
             answers,
-            space,
+            core.space,
             initial_uncertainty,
             initial_distance,
             orderings_initial,
@@ -220,42 +233,55 @@ class UncertaintyReductionSession:
             self._inference.record(answer)
         return answer, False
 
+    def _ask_and_apply(
+        self,
+        core: "InteractiveSession",
+        question: Question,
+        answers: List[Answer],
+        trajectory: Optional[List[float]],
+    ) -> bool:
+        """Obtain one answer and apply it to ``core``; returns whether it
+        was inferred.
+
+        Only charged answers are recorded in ``answers`` and get a
+        trajectory point, so ``len(trajectory)`` stays
+        ``questions_asked + 1``.
+        """
+        answer, inferred = self._obtain_answer(question)
+        with self.watch.span("update"):
+            core.submit_answer(
+                question.i, question.j, answer.holds, answer.accuracy
+            )
+        if not inferred:
+            answers.append(answer)
+            if trajectory is not None:
+                trajectory.append(self._distance(core.space))
+        return inferred
+
     def _run_offline(
         self,
         policy: OfflinePolicy,
-        space: OrderingSpace,
+        core: "InteractiveSession",
         budget: int,
         answers: List[Answer],
         trajectory: Optional[List[float]],
-    ) -> OrderingSpace:
+    ) -> None:
         with self.watch.span("select"):
-            candidates = self._candidates(space, policy.pool)
+            candidates = self._candidates(core, policy.pool)
             batch = policy.select(
-                space, candidates, budget, self.evaluator, self.rng
+                core.space, candidates, budget, self.evaluator, self.rng
             )
         for question in batch:
-            answer, inferred = self._obtain_answer(question)
-            if not inferred:
-                answers.append(answer)
-            with self.watch.span("update"):
-                space = self.evaluator.apply_answer(
-                    space, question, answer.holds, answer.accuracy
-                )
-            # Inferred answers are applied but consume no budget, so they
-            # do not get a trajectory point: len(trajectory) must stay
-            # questions_asked + 1.
-            if trajectory is not None and not inferred:
-                trajectory.append(self._distance(space))
-        return space
+            self._ask_and_apply(core, question, answers, trajectory)
 
     def _run_online(
         self,
         policy: OnlinePolicy,
-        space: OrderingSpace,
+        core: "InteractiveSession",
         budget: int,
         answers: List[Answer],
         trajectory: Optional[List[float]],
-    ) -> OrderingSpace:
+    ) -> None:
         # Livelock guard: an inferred answer consumes no budget, and when
         # it also fails to shrink/reweight the space the iteration makes no
         # progress.  Questions known to be fruitless are filtered out of
@@ -268,13 +294,13 @@ class UncertaintyReductionSession:
         consecutive_skips = 0
         while len(answers) < budget:
             with self.watch.span("select"):
-                candidates = self._candidates(space, policy.pool)
+                candidates = self._candidates(core, policy.pool)
                 if fruitless:
                     candidates = [
                         q for q in candidates if q not in fruitless
                     ]
                 question = policy.next_question(
-                    space,
+                    core.space,
                     candidates,
                     budget - len(answers),
                     self.evaluator,
@@ -287,22 +313,13 @@ class UncertaintyReductionSession:
                 if consecutive_skips > 8:
                     break  # policy keeps proposing a no-progress question
                 continue
-            answer, inferred = self._obtain_answer(question)
-            if not inferred:
-                answers.append(answer)
-            with self.watch.span("update"):
-                updated = self.evaluator.apply_answer(
-                    space, question, answer.holds, answer.accuracy
-                )
-            if (not inferred) or (updated is not space):
+            before = core.space
+            inferred = self._ask_and_apply(core, question, answers, trajectory)
+            if (not inferred) or (core.space is not before):
                 fruitless.clear()
                 consecutive_skips = 0
             else:
                 fruitless.add(question)
-            space = updated
-            if trajectory is not None and not inferred:
-                trajectory.append(self._distance(space))
-        return space
 
     def _run_incremental(
         self, policy: IncrementalAlgorithm, budget: int
@@ -372,8 +389,8 @@ class SessionSnapshot:
     """
 
     k: int
-    #: ``(i, j, holds, accuracy)`` per applied answer, canonical ``i < j``.
-    answers: Tuple[Tuple[int, int, bool, float], ...]
+    #: One :data:`AnswerTuple` per applied answer, canonical ``i < j``.
+    answers: Tuple[AnswerTuple, ...]
 
     def to_dict(self) -> Dict:
         """Plain-JSON form (used by the service snapshot endpoint)."""
@@ -392,13 +409,17 @@ class SessionSnapshot:
 
 
 class InteractiveSession:
-    """A stepwise (question-at-a-time) uncertainty-reduction session.
+    """The session state machine: initial space, applied answers, evaluator.
 
-    Where :class:`UncertaintyReductionSession` drives a policy loop to
-    completion in one call, this is the *interactive* surface the service
-    layer serves traffic with: callers pull the currently most informative
-    question, push answers as the crowd produces them, and may snapshot and
-    later restore the session at any point in between.
+    A session's state is a pure function of its initial space and the
+    answers applied to it, and :meth:`submit_answer` is the one place an
+    answer is applied (pruned or reweighted).  Every driver steps this
+    class: :class:`UncertaintyReductionSession` runs its policy loops over
+    it, the service manager serves traffic with it (callers pull the
+    currently most informative question and push answers as the crowd
+    produces them), and replaying an answer log — :meth:`restore`,
+    :func:`repro.api.replay_session`, the manager's resume — is
+    :meth:`replay`, i.e. :meth:`submit_answer` over each answer.
 
     Parameters
     ----------
@@ -493,15 +514,43 @@ class InteractiveSession:
         return candidates[select_min_residual(residuals, slack)]
 
     def submit_answer(
-        self, question: Question, holds: bool, accuracy: float = 1.0
+        self, i: int, j: int, holds: bool, accuracy: float = 1.0
     ) -> Answer:
-        """Apply one crowd answer (prune or reweight) and record it."""
+        """Apply one crowd answer — "t_i ranks above t_j" is ``holds`` —
+        (prune or reweight) and record it.
+
+        A reversed pair (``i > j``) is canonicalized to ``i < j`` with
+        ``holds`` flipped, so the recorded answer states the same fact
+        about the canonical :class:`Question`.
+        """
+        i, j, holds = int(i), int(j), bool(holds)
+        if i > j:
+            i, j, holds = j, i, not holds
+        question = Question(i, j)
+        accuracy = float(accuracy)
         self.space = self.evaluator.apply_answer(
             self.space, question, holds, accuracy
         )
         answer = Answer(question, holds, accuracy=accuracy)
         self.answers.append(answer)
         return answer
+
+    def replay(
+        self,
+        answers: Iterable[AnswerTuple],
+        on_state: Optional[Callable[[OrderingSpace], None]] = None,
+    ) -> "InteractiveSession":
+        """Apply an answer log in order; returns ``self``.
+
+        ``on_state`` is called with the space after every applied answer
+        (callers that track the trajectory record the initial state
+        themselves).
+        """
+        for i, j, holds, accuracy in answers:
+            self.submit_answer(i, j, holds, accuracy)
+            if on_state is not None:
+                on_state(self.space)
+        return self
 
     def top_k(self) -> List[int]:
         """The current most probable top-K prefix (the paper's MPO)."""
@@ -513,17 +562,14 @@ class InteractiveSession:
 
     # ------------------------------------------------------------------
 
-    def answers_key(self) -> Tuple[Tuple[int, int, bool, float], ...]:
+    def answers_key(self) -> Tuple[AnswerTuple, ...]:
         """Hashable identity of the applied answer sequence.
 
         Two sessions over the same initial space with equal keys are in
         bit-identical states — the property the service manager's
         cross-session ranking coalescing keys on.
         """
-        return tuple(
-            (a.question.i, a.question.j, a.holds, a.accuracy)
-            for a in self.answers
-        )
+        return tuple(a.as_tuple() for a in self.answers)
 
     def snapshot(self) -> SessionSnapshot:
         """Freeze the session into a restorable, JSON-portable snapshot."""
@@ -543,16 +589,13 @@ class InteractiveSession:
         ``distributions`` and ``space`` must describe the same instance the
         snapshot was taken from (the initial space, not the pruned one).
         """
-        session = cls(
+        return cls(
             distributions,
             snapshot.k,
             space,
             measure=measure,
             evaluator=evaluator,
-        )
-        for i, j, holds, accuracy in snapshot.answers:
-            session.submit_answer(Question(i, j), holds, accuracy=accuracy)
-        return session
+        ).replay(snapshot.answers)
 
 
 __all__ = [

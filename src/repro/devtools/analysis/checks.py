@@ -401,9 +401,9 @@ class ExceptionContract(Check):
 
     The protocol error envelope maps ``HttpError`` (explicit status),
     ``ProtocolError`` → 400, ``UnknownSessionError`` → 404 and
-    ``ClosedSessionError`` → 409; anything else escaping a handler is a
-    generic 500 with no machine-readable error code — a client-visible
-    contract break.  The may-raise sets are propagated along call edges
+    ``ClosedSessionError``/``DuplicateSessionError`` → 409; anything else
+    escaping a handler is a generic 500 with no machine-readable error
+    code — a client-visible contract break.  The may-raise sets are propagated along call edges
     with subclass-aware caught-at-callsite filtering, so a
     ``ValueError`` raised three frames down but wrapped at the call site
     in ``except (TypeError, ValueError)`` is correctly silent.
@@ -423,6 +423,7 @@ class ExceptionContract(Check):
             "ProtocolError",
             "UnknownSessionError",
             "ClosedSessionError",
+            "DuplicateSessionError",
             "CancelledError",
         }
     )

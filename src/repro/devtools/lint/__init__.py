@@ -2,15 +2,16 @@
 
 The framework lives in :mod:`repro.devtools.lint.core` (shared AST walk,
 :class:`Checker`, :class:`Rule`, the :data:`LINT_RULES` registry), the
-built-in rules RPL001–RPL008 in :mod:`repro.devtools.lint.rules`, the
-ratcheting exception file in :mod:`repro.devtools.lint.baseline`, and the
-text/json/github renderers in :mod:`repro.devtools.lint.formats`.
+built-in rules RPL001–RPL008 in :mod:`repro.devtools.lint.rules`.  The
+ratcheting exception file (:mod:`repro.devtools.baseline`) and the
+text/json/github renderers (:mod:`repro.devtools.formats`) are shared
+with ``repro check``.
 
 Importing this package registers the built-in rules.
 """
 
 from repro.devtools.lint import rules as _rules  # noqa: F401  (registers rules)
-from repro.devtools.lint.baseline import (
+from repro.devtools.baseline import (
     BaselineEntry,
     apply_baseline,
     load_baseline,

@@ -13,7 +13,7 @@ invariants can ship their own rule without touching this package.
 Violations carry a *fingerprint* — ``(rule, path, stripped source
 line)`` — deliberately excluding the line number, so a committed baseline
 entry keeps suppressing its violation when unrelated edits shift the file
-(see :mod:`repro.devtools.lint.baseline`).
+(see :mod:`repro.devtools.baseline`).
 """
 
 from __future__ import annotations

@@ -346,7 +346,7 @@ class ExplicitDtypeRule(Rule):
         )
 
 
-#: Deprecated pre-``repro.api`` entry points and the modules defining them.
+#: Removed pre-``repro.api`` factory entry points (no module defines them).
 _DEPRECATED_SHIMS = frozenset(
     {
         "make_policy",
@@ -380,44 +380,27 @@ _REGISTRY_NAMES = frozenset(
 
 @LINT_RULES.register("RPL006")
 class NoDeprecatedShimRule(Rule):
-    """First-party code never imports the deprecated shims or pokes
+    """First-party code never imports the removed factory shims or pokes
     registries as dicts.
 
-    The shims (``make_policy``, ``get_measure``, …) raise
-    ``DeprecationWarning`` — which CI promotes to an error — and bypass
-    the typed spec layer; subscript-assignment on a registry alias skips
-    collision detection and lazy resolution.  Use ``repro.api`` specs and
+    The shims (``make_policy``, ``get_measure``, …) were deleted in favour
+    of the typed spec layer; importing one by name is flagged.
+    Subscript-assignment on a registry alias skips collision detection
+    and lazy resolution.  Use ``repro.api`` specs and
     ``Registry.register``.
     """
 
     code = "RPL006"
     name = "no-deprecated-entry-points"
     rationale = (
-        "shims bypass the typed repro.api layer (and warn, which CI "
-        "escalates); dict-mutation skips registry collision detection"
-    )
-
-    #: Modules that define or re-export the shims for compatibility.
-    ALLOWED = frozenset(
-        {
-            "src/repro/__init__.py",
-            "src/repro/api/_deprecation.py",
-            "src/repro/core/__init__.py",
-            "src/repro/uncertainty/registry.py",
-            "src/repro/uncertainty/__init__.py",
-            "src/repro/workloads/synthetic.py",
-            "src/repro/workloads/__init__.py",
-            "src/repro/tpo/builders.py",
-            "src/repro/tpo/__init__.py",
-            "src/repro/service/manager.py",
-            "src/repro/service/__init__.py",
-        }
+        "the factory shims were removed in favour of the typed repro.api "
+        "layer; dict-mutation skips registry collision detection"
     )
 
     def visit_node(
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Violation]:
-        if isinstance(node, ast.ImportFrom) and ctx.path not in self.ALLOWED:
+        if isinstance(node, ast.ImportFrom):
             if node.level or (node.module or "").startswith("repro"):
                 for alias in node.names:
                     if alias.name in _DEPRECATED_SHIMS:

@@ -287,11 +287,9 @@ def run_calibration_cell(
             policy=policy,
             engine_params=exact_params,
         )
-        answer_tuples = [
-            (a.question.i, a.question.j, a.holds, a.accuracy)
-            for a in result.answers
-        ]
-        replay = replay_session(exact_spec, answer_tuples)
+        replay = replay_session(
+            exact_spec, [a.as_tuple() for a in result.answers]
+        )
         exact_values = replay.uncertainties
     else:
         if observer.records:

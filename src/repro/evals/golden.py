@@ -77,11 +77,7 @@ def record_case(spec: SessionSpec) -> Dict[str, Any]:
     result = run_session(spec)
     eval_spec = EvalSpec(suite="golden", session=spec)
     expected = {
-        "answers": [
-            [int(a.question.i), int(a.question.j), bool(a.holds),
-             float(a.accuracy)]
-            for a in result.answers
-        ],
+        "answers": [list(a.as_tuple()) for a in result.answers],
         "questions_asked": int(result.questions_asked),
         "contradictions": int(result.contradictions),
         "initial_uncertainty": float(result.initial_uncertainty),
@@ -187,11 +183,7 @@ def run_golden_api_cell(*, case: Dict[str, Any]) -> Dict[str, Any]:
     expected = case["expected"]
     result = run_session(spec.session)
     observed = {
-        "answers": [
-            [int(a.question.i), int(a.question.j), bool(a.holds),
-             float(a.accuracy)]
-            for a in result.answers
-        ],
+        "answers": [list(a.as_tuple()) for a in result.answers],
         "questions_asked": int(result.questions_asked),
         "contradictions": int(result.contradictions),
         "initial_uncertainty": float(result.initial_uncertainty),

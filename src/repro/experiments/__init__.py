@@ -1,7 +1,7 @@
-"""Experiment harness and per-figure reproduction modules (S10).
+"""Experiment harness and per-figure reproduction modules.
 
-Each module maps to one experiment id of DESIGN.md §5 / EXPERIMENTS.md and
-exposes ``grid(fast) -> ExperimentGrid`` (the declared cell grid),
+Each module maps to one experiment id of :data:`EXPERIMENTS` and exposes
+``grid(fast) -> ExperimentGrid`` (the declared cell grid),
 ``run(fast=True, workers=0, store=None, resume=False) -> ResultTable``,
 ``report(table) -> str`` and a printing ``main``.  Execution — serial or
 process-pool fan-out with a durable, resumable JSON-lines store — lives in
@@ -29,7 +29,7 @@ from repro.experiments.harness import (
 from repro.experiments.runner import GridRunReport, run_grid
 from repro.experiments.store import ResultStore
 
-#: Experiment id → module, mirroring DESIGN.md §5.
+#: Experiment id → module.
 EXPERIMENTS = {
     "FIG1A": fig1a,
     "FIG1B": fig1b,

@@ -1,6 +1,6 @@
 """Experiment harness: configs, multi-seed runners, result tables.
 
-Every experiment in EXPERIMENTS.md is a grid of cells
+Every reproduction experiment is a grid of cells
 ``(policy, budget, repetition)`` over one workload family.  The harness
 guarantees *paired* comparisons: all policies inside a repetition face the
 same score distributions and the same ground-truth realization, while

@@ -1,9 +1,8 @@
 """Consolidated experiment reporting.
 
 Runs any subset of the reproduction experiments and renders one Markdown
-document with every series/table — the machine-generated companion to the
-hand-annotated EXPERIMENTS.md.  Used by ``python -m repro experiment all
---output report.md`` and by release checklists.
+document with every series/table.  Used by ``python -m repro experiment
+all --output report.md`` and by release checklists.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ def run_report(
     Parameters
     ----------
     experiment_ids:
-        Ids from DESIGN.md §5 (default: all, sorted).
+        Keys of :data:`repro.experiments.EXPERIMENTS` (default: all,
+        sorted).
     fast:
         Fast profiles (minutes) vs paper-sized grids (hours for C-off).
     output:
@@ -50,8 +50,6 @@ def run_report(
         "# Reproduction report",
         "",
         f"Profile: **{profile}**. Generated by `repro.experiments.report`.",
-        "See EXPERIMENTS.md for the paper-vs-measured interpretation of "
-        "each artifact.",
         "",
     ]
     for name in names:

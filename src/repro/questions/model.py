@@ -12,6 +12,13 @@ from dataclasses import dataclass
 from typing import Tuple
 
 
+#: One recorded crowd answer, ``(i, j, holds, accuracy)``: "t_i ranks above
+#: t_j" is ``holds``, under the given reliability.  Session snapshots, the
+#: service event log and :func:`repro.api.replay_session` all carry answers
+#: in this shape.
+AnswerTuple = Tuple[int, int, bool, float]
+
+
 @dataclass(frozen=True, order=True)
 class Question:
     """The pairwise comparison ``t_i ?≺ t_j`` (canonical form ``i < j``)."""
@@ -56,6 +63,15 @@ class Answer:
     holds: bool
     accuracy: float = 1.0
 
+    def as_tuple(self) -> AnswerTuple:
+        """This answer as a plain-typed :data:`AnswerTuple`."""
+        return (
+            int(self.question.i),
+            int(self.question.j),
+            bool(self.holds),
+            float(self.accuracy),
+        )
+
     def __repr__(self) -> str:
         relation = "≺" if self.holds else "⊀"
         return (
@@ -64,4 +80,4 @@ class Answer:
         )
 
 
-__all__ = ["Question", "Answer"]
+__all__ = ["AnswerTuple", "Question", "Answer"]

@@ -43,10 +43,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 if TYPE_CHECKING:  # avoid importing the store stack at runtime
     from repro.service.store import SpaceStore
 
-from repro.api._deprecation import warn_deprecated
-from repro.api.specs import EngineSpec, InstanceSpec, as_instance_spec
+from repro.api.specs import EngineSpec, as_instance_spec
 from repro.core.session import InteractiveSession
-from repro.distributions.base import ScoreDistribution
 from repro.experiments.store import ensure_trailing_newline
 from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
@@ -67,30 +65,8 @@ class ClosedSessionError(ValueError):
     """Raised when an operation targets a closed session."""
 
 
-# ----------------------------------------------------------------------
-# Instance specs (deprecated shims — the real thing is repro.api)
-# ----------------------------------------------------------------------
-
-
-def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Deprecated shim: use :class:`repro.api.InstanceSpec` instead.
-
-    ``InstanceSpec.from_dict(spec).to_dict()`` produces the identical
-    canonical dict this function always returned.
-    """
-    warn_deprecated(
-        "repro.service.manager.normalize_spec", "repro.api.InstanceSpec"
-    )
-    return InstanceSpec.from_dict(spec).to_dict()
-
-
-def materialize_instance(spec: Dict[str, Any]) -> List[ScoreDistribution]:
-    """Deprecated shim: use :meth:`repro.api.InstanceSpec.materialize`."""
-    warn_deprecated(
-        "repro.service.manager.materialize_instance",
-        "repro.api.InstanceSpec.materialize",
-    )
-    return as_instance_spec(spec).materialize()
+class DuplicateSessionError(ValueError):
+    """Raised when a create names a session id that already exists."""
 
 
 def builder_signature(builder: TPOBuilder) -> Dict[str, Any]:
@@ -324,7 +300,7 @@ class SessionManager:
         spec = ispec.to_dict()
         sid = session_id if session_id is not None else secrets.token_hex(8)
         if sid in self._sessions:
-            raise ValueError(f"session id {sid!r} already exists")
+            raise DuplicateSessionError(f"session id {sid!r} already exists")
         distributions = ispec.materialize()
         tpo_key = instance_key(
             {"spec": spec, "builder": builder_signature(self.builder)}
@@ -420,8 +396,8 @@ class SessionManager:
     ) -> Dict[str, Any]:
         """Apply (and log) one answer: "t_i ranks above t_j" is ``holds``.
 
-        The pair is canonicalized to ``i < j`` (flipping ``holds``
-        accordingly), matching the :class:`Question` identity rules.
+        The session canonicalizes the pair to ``i < j`` (flipping
+        ``holds`` accordingly), and the log records the canonical answer.
         """
         summary = self._submit(session_id, i, j, holds, accuracy)
         if self._log is not None:
@@ -448,12 +424,7 @@ class SessionManager:
         accuracy: float,
     ) -> Dict[str, Any]:
         managed = self._active(session_id)
-        i, j = int(i), int(j)
-        if i > j:
-            i, j, holds = j, i, not holds
-        managed.session.submit_answer(
-            Question(i, j), bool(holds), accuracy=float(accuracy)
-        )
+        managed.session.submit_answer(i, j, holds, accuracy)
         return {
             "session_id": session_id,
             "questions_asked": managed.session.questions_asked,
@@ -518,7 +489,7 @@ class SessionManager:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Service counters for the ``/stats`` endpoint and benchmarks."""
+        """Service counters for the ``/v1/stats`` endpoint and benchmarks."""
         by_status: Dict[str, int] = {}
         for managed in self._sessions.values():
             by_status[managed.status] = by_status.get(managed.status, 0) + 1
@@ -621,7 +592,6 @@ __all__ = [
     "BufferedEventLog",
     "UnknownSessionError",
     "ClosedSessionError",
-    "normalize_spec",
-    "materialize_instance",
+    "DuplicateSessionError",
     "builder_signature",
 ]

@@ -18,8 +18,6 @@ envelope::
 ``code`` is a stable machine-readable slug per status (see
 :data:`ERROR_CODES`), ``message`` is human-readable, and ``detail`` is an
 optional object with structured context (e.g. the ``allow`` list on 405).
-The legacy unversioned routes keep their historical flat
-``{"error": "<message>"}`` shape.
 """
 
 from __future__ import annotations
@@ -95,10 +93,6 @@ class ErrorEnvelope:
             error["detail"] = dict(self.detail)
         return {"error": error}
 
-    def to_legacy_payload(self) -> Dict[str, Any]:
-        """The historical flat shape of the unversioned routes."""
-        return {"error": self.message}
-
 
 # ----------------------------------------------------------------------
 # Requests
@@ -139,21 +133,17 @@ class AnswerRequest:
     accuracy: float = 1.0
 
     @classmethod
-    def from_body(cls, body: Any, strict: bool = True) -> "AnswerRequest":
+    def from_body(cls, body: Any) -> "AnswerRequest":
         """Parse an answer body.
 
-        ``strict`` (the versioned surface) rejects unknown fields, so a
-        misspelled ``accuracy`` key cannot silently apply a full-weight
-        answer; the legacy routes keep their historical leniency.
+        Unknown fields are rejected, so a misspelled ``accuracy`` key
+        cannot silently apply a full-weight answer.
         """
         body = _object_body(body, "answer")
         _require(body, ("i", "j", "holds"), "answer")
-        if strict:
-            unknown = set(body) - {"i", "j", "holds", "accuracy"}
-            if unknown:
-                raise ProtocolError(
-                    f"unknown answer fields: {sorted(unknown)}"
-                )
+        unknown = set(body) - {"i", "j", "holds", "accuracy"}
+        if unknown:
+            raise ProtocolError(f"unknown answer fields: {sorted(unknown)}")
         try:
             return cls(
                 i=int(body["i"]),

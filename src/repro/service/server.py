@@ -23,14 +23,12 @@ method      path                                body / response
 ``POST``    ``/v1/sessions/<id>/close``         ``{"closed": true}``
 ==========  ==================================  ===============================
 
-Versioned error responses use the uniform JSON envelope
+Error responses use the uniform JSON envelope
 (``{"error": {"code", "message", "detail"?}}``) with correct statuses:
 400 on malformed bodies/specs, 404 on unknown sessions or routes, 405 —
 with an ``Allow`` header — on known routes hit with the wrong method, 409
-on closed sessions, and 413 on oversized bodies.  The pre-``/v1``
-unversioned paths remain as deprecated aliases (flat
-``{"error": "<message>"}`` bodies, a ``Deprecation: true`` header) so old
-clients keep working.
+on closed sessions or duplicate session ids, and 413 on oversized
+bodies.  Paths outside ``/v1`` are unknown routes (404).
 
 Concurrent ``/next`` requests are *coalesced*: handlers enqueue into a
 :class:`NextQuestionBatcher` which drains once per event-loop tick through
@@ -60,6 +58,7 @@ from repro import __version__
 from repro.api.catalog import all_registries
 from repro.service.manager import (
     ClosedSessionError,
+    DuplicateSessionError,
     SessionManager,
     UnknownSessionError,
 )
@@ -174,9 +173,8 @@ async def _read_head(
     """Parse the request line + headers; returns ``(method, path,
     content_length)`` or ``None`` on EOF.
 
-    Split from :func:`_read_body` so the connection handler knows the
-    path — and therefore whether the client is on the versioned surface —
-    before any body-level error can be raised.
+    Split from :func:`_read_body` so a proxy (the sharded router) can
+    forward the raw body without parsing it.
     """
     try:
         request_line = await reader.readline()
@@ -262,7 +260,6 @@ class Context:
         batcher: NextQuestionBatcher,
         body: Any,
         params: Dict[str, str],
-        versioned: bool,
         log_executor: Optional[ThreadPoolExecutor] = None,
         topology: Optional[TopologyInfo] = None,
     ) -> None:
@@ -270,7 +267,6 @@ class Context:
         self.batcher = batcher
         self.body = body
         self.params = params
-        self.versioned = versioned
         self.log_executor = log_executor
         self.topology = topology if topology is not None else TopologyInfo()
 
@@ -326,26 +322,23 @@ async def _handle_list_sessions(ctx: Context) -> Dict[str, Any]:
 
 
 async def _handle_create_session(ctx: Context) -> Dict[str, Any]:
-    if ctx.versioned:
-        try:
-            request = CreateSessionRequest.from_body(ctx.body)
-        except (TypeError, ValueError) as exc:
-            # Spec validation failures (unknown workload, bad n/k, unknown
-            # fields) are the client's fault — 400, never a 500.
-            raise HttpError(400, str(exc)) from None
-        spec: Any = request.spec
-        session_id = request.session_id
-    else:
-        # Legacy leniency: a bare spec body (no "spec" wrapper) is allowed.
-        spec = ctx.body.get("spec", ctx.body)
-        session_id = ctx.body.get("session_id")
     try:
-        sid = ctx.manager.create_session(spec, session_id=session_id)
+        request = CreateSessionRequest.from_body(ctx.body)
+    except (TypeError, ValueError) as exc:
+        # Spec validation failures (unknown workload, bad n/k, unknown
+        # fields) are the client's fault — 400, never a 500.
+        raise HttpError(400, str(exc)) from None
+    try:
+        sid = ctx.manager.create_session(
+            request.spec, session_id=request.session_id
+        )
     except TPOSizeError as exc:
         # An instance whose TPO blows the engine's size budget is a
         # client-side resource limit, not an internal failure — surface
         # it as 413 instead of leaking an opaque 500 (found by RPC104).
         raise HttpError(413, str(exc)) from None
+    except DuplicateSessionError:
+        raise  # a well-formed request that conflicts: 409 in _route
     except (TypeError, ValueError) as exc:
         # TypeError covers bad generator params the spec validator cannot
         # know about (e.g. {"params": {"bogus": 1}}) — still the client's
@@ -374,7 +367,7 @@ async def _handle_next(ctx: Context) -> Dict[str, Any]:
 
 async def _handle_answer(ctx: Context) -> Dict[str, Any]:
     sid = ctx.params["session_id"]
-    request = AnswerRequest.from_body(ctx.body, strict=ctx.versioned)
+    request = AnswerRequest.from_body(ctx.body)
     try:
         summary = ctx.manager.submit_answer(
             sid,
@@ -407,16 +400,10 @@ class Route:
     ``Allow`` header — never a generic 404.
     """
 
-    def __init__(
-        self,
-        pattern: str,
-        handlers: Dict[str, Any],
-        versioned_only: bool = False,
-    ) -> None:
+    def __init__(self, pattern: str, handlers: Dict[str, Any]) -> None:
         self.pattern = pattern
         self.segments = pattern.split("/")
         self.handlers = handlers
-        self.versioned_only = versioned_only
 
     def match(self, segments: List[str]) -> Optional[Dict[str, str]]:
         """Wildcard bindings when ``segments`` matches, else ``None``."""
@@ -433,7 +420,7 @@ class Route:
 
 ROUTES: List[Route] = [
     Route("healthz", {"GET": _handle_healthz}),
-    Route("meta", {"GET": _handle_meta}, versioned_only=True),
+    Route("meta", {"GET": _handle_meta}),
     Route("stats", {"GET": _handle_stats}),
     Route(
         "sessions",
@@ -454,57 +441,46 @@ async def _route(
     batcher: NextQuestionBatcher,
     log_executor: Optional[ThreadPoolExecutor] = None,
     topology: Optional[TopologyInfo] = None,
-) -> Tuple[Dict[str, Any], bool]:
-    """Dispatch one request; returns ``(payload, versioned)``."""
+) -> Dict[str, Any]:
+    """Dispatch one request under ``/v1``; returns the response payload."""
     segments = [s for s in path.split("/") if s]
-    versioned = bool(segments) and segments[0] == PROTOCOL_VERSION
-    if versioned:
-        segments = segments[1:]
     sid: Optional[str] = None
     try:
+        if segments[:1] != [PROTOCOL_VERSION]:
+            raise HttpError(404, f"no route for {method} {path}")
         for route in ROUTES:
-            if route.versioned_only and not versioned:
-                continue
-            params = route.match(segments)
+            params = route.match(segments[1:])
             if params is None:
                 continue
             handler = route.handlers.get(method)
             if handler is None:
-                prefix = f"/{PROTOCOL_VERSION}/" if versioned else "/"
                 raise HttpError(
                     405,
-                    f"{method} not allowed on {prefix}{route.pattern}",
+                    f"{method} not allowed on "
+                    f"/{PROTOCOL_VERSION}/{route.pattern}",
                     detail={"allow": sorted(route.handlers)},
                     allow=route.handlers,
                 )
             sid = params.get("session_id")
             ctx = Context(
-                manager,
-                batcher,
-                body,
-                params,
-                versioned,
-                log_executor,
-                topology,
+                manager, batcher, body, params, log_executor, topology
             )
-            return await handler(ctx), versioned
+            return await handler(ctx)
         raise HttpError(404, f"no route for {method} {path}")
     except ProtocolError as exc:
         raise HttpError(400, str(exc)) from None
     except UnknownSessionError:
         raise HttpError(404, f"no session {sid!r}") from None
-    except ClosedSessionError as exc:
+    except (ClosedSessionError, DuplicateSessionError) as exc:
         raise HttpError(409, str(exc)) from None
 
 
 def _error_payload(
-    status: int,
-    message: str,
-    detail: Optional[Dict[str, Any]],
-    versioned: bool,
+    status: int, message: str, detail: Optional[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    envelope = ErrorEnvelope(status=status, message=message, detail=detail or {})
-    return envelope.to_payload() if versioned else envelope.to_legacy_payload()
+    return ErrorEnvelope(
+        status=status, message=message, detail=detail or {}
+    ).to_payload()
 
 
 async def _handle_connection(
@@ -517,35 +493,25 @@ async def _handle_connection(
 ) -> None:
     status, payload = 500, {"error": "internal error"}
     headers: Dict[str, str] = {}
-    versioned = True
     try:
         head = await _read_head(reader)
         if head is None:
             return
         method, path, content_length = head
-        versioned = [s for s in path.split("/") if s][:1] == [
-            PROTOCOL_VERSION
-        ]
         body = await _read_body(reader, content_length)
-        payload, versioned = await _route(
+        payload = await _route(
             method, path, body, manager, batcher, log_executor, topology
         )
         status = 200
     except HttpError as exc:
         status = exc.status
-        payload = _error_payload(
-            exc.status, exc.message, exc.detail, versioned
-        )
+        payload = _error_payload(exc.status, exc.message, exc.detail)
         if exc.allow:
             headers["Allow"] = ", ".join(exc.allow)
     except Exception as exc:  # pragma: no cover - defensive catch-all
         status = 500
-        payload = _error_payload(
-            500, f"{type(exc).__name__}: {exc}", None, versioned
-        )
+        payload = _error_payload(500, f"{type(exc).__name__}: {exc}", None)
     finally:
-        if not versioned:
-            headers.setdefault("Deprecation", "true")
         try:
             writer.write(_encode_response(status, payload, headers))
             await writer.drain()

@@ -21,7 +21,7 @@ the asyncio front end of :mod:`repro.service.server`, plus one asyncio
 Every session lives on exactly one worker — :func:`shard_for` hashes the
 session id with BLAKE2b, so any router (or a client that knows the
 recipe) computes the same placement without coordination.  The router
-assigns ids to ``POST /sessions`` bodies that lack one, then proxies
+assigns ids to ``POST /v1/sessions`` bodies that lack one, then proxies
 session-scoped requests verbatim; fleet-level reads (``/v1/healthz``,
 ``/v1/meta``, ``/v1/stats``, ``GET /v1/sessions``) fan out to every
 worker and merge.  TPOs cross the process boundary through the shared
@@ -345,8 +345,9 @@ class ShardedService:
         self, method: str, path: str, raw_body: bytes
     ) -> bytes:
         segments = [s for s in path.split("/") if s]
-        if segments[:1] == [PROTOCOL_VERSION]:
-            segments = segments[1:]
+        if segments[:1] != [PROTOCOL_VERSION]:
+            raise HttpError(404, f"no route for {method} {path}")
+        segments = segments[1:]
         if (
             method == "GET"
             and len(segments) == 1
@@ -383,13 +384,9 @@ class ShardedService:
         session_id = body.get("session_id")
         if session_id is None:
             session_id = secrets.token_hex(8)
-            if "spec" in body:
-                body = dict(body, session_id=session_id)
-            else:
-                # Legacy bare-spec body: wrap it so the injected id is
-                # not mistaken for a spec field.
-                body = {"spec": body, "session_id": session_id}
-            raw_body = json.dumps(body).encode("utf-8")
+            raw_body = json.dumps(dict(body, session_id=session_id)).encode(
+                "utf-8"
+            )
         elif not isinstance(session_id, str):
             raise HttpError(400, "session_id must be a string")
         shard = shard_for(
@@ -402,15 +399,11 @@ class ShardedService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        versioned = True
         try:
             head = await _read_head(reader)
             if head is None:
                 return
             method, path, content_length = head
-            versioned = [s for s in path.split("/") if s][:1] == [
-                PROTOCOL_VERSION
-            ]
             raw_body = (
                 await reader.readexactly(content_length)
                 if content_length
@@ -421,12 +414,7 @@ class ShardedService:
             envelope = ErrorEnvelope(
                 status=exc.status, message=exc.message, detail=exc.detail
             )
-            payload = (
-                envelope.to_payload()
-                if versioned
-                else envelope.to_legacy_payload()
-            )
-            response = _encode_response(exc.status, payload)
+            response = _encode_response(exc.status, envelope.to_payload())
         except (ConnectionError, asyncio.IncompleteReadError):
             return
         except Exception as exc:  # pragma: no cover - defensive

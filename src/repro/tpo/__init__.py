@@ -1,4 +1,4 @@
-"""Tree-of-possible-orderings substrate (S2 in DESIGN.md).
+"""Tree-of-possible-orderings substrate.
 
 Builds, extends, prunes, and flattens the TPO ``T_K`` of Soliman & Ilyas
 that the paper's uncertainty-reduction algorithms operate on.  The tree
@@ -15,7 +15,6 @@ from repro.tpo.builders import (
     MonteCarloBuilder,
     TPOBuilder,
     TPOSizeError,
-    make_builder,
 )
 from repro.tpo.analysis import (
     overlap_statistics,
@@ -48,7 +47,6 @@ __all__ = [
     "GridBuilder",
     "ExactBuilder",
     "MonteCarloBuilder",
-    "make_builder",
     "ENGINES",
     "tree_to_dict",
     "tree_from_dict",

@@ -1,4 +1,4 @@
-"""TPO uncertainty measures (substrate S3 in DESIGN.md)."""
+"""TPO uncertainty measures."""
 
 from repro.uncertainty.base import UncertaintyMeasure
 from repro.uncertainty.entropy import (
@@ -6,11 +6,6 @@ from repro.uncertainty.entropy import (
     WeightedEntropyMeasure,
     linear_level_weights,
     shannon_entropy,
-)
-from repro.uncertainty.registry import (
-    available_measures,
-    get_measure,
-    register_measure,
 )
 from repro.uncertainty.representative import MPOUncertainty, ORAUncertainty
 
@@ -22,7 +17,4 @@ __all__ = [
     "MPOUncertainty",
     "shannon_entropy",
     "linear_level_weights",
-    "get_measure",
-    "register_measure",
-    "available_measures",
 ]

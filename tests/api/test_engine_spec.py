@@ -146,12 +146,11 @@ class TestSessionSpecIntegration:
         assert spec.engine_spec == EngineSpec("grid", {"resolution": 256})
         assert isinstance(spec.build_builder(), GridBuilder)
 
-    def test_engine_params_constructor_path_warns(self, ispec):
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
-            spec = SessionSpec(
-                instance=ispec, engine_params={"resolution": 256}
-            )
-        assert spec.engine_params == {"resolution": 256}
+    def test_engine_params_constructor_path_rejected(self, ispec):
+        with pytest.raises(ValueError, match="use EngineSpec"):
+            SessionSpec(instance=ispec, engine_params={"resolution": 256})
+        # An empty engine_params is the default, not a write.
+        assert SessionSpec(instance=ispec, engine_params={}).engine_params == {}
 
     def test_engine_spec_plus_engine_params_rejected(self, ispec):
         with pytest.raises(ValueError, match="engine_params"):

@@ -42,6 +42,7 @@ EXPECTED_API_ALL = [
     "SHARD_STRATEGIES",
     "as_instance_spec",
     # execution
+    "AnswerTuple",
     "PreparedSession",
     "ReplayResult",
     "prepare_session",

@@ -30,7 +30,7 @@ def drive(session, crowd, steps):
             break
         answer = crowd.ask(question)
         session.submit_answer(
-            question, answer.holds, accuracy=answer.accuracy
+            question.i, question.j, answer.holds, accuracy=answer.accuracy
         )
         applied += 1
     return applied
@@ -60,8 +60,8 @@ class TestInteractiveSession:
         assert session.next_question() is None
 
     def test_noncanonical_pair_is_rejected_by_question(self):
-        # Canonicalization happens in Question itself; the session only
-        # ever sees canonical pairs.
+        # Questions are canonical; answers to a reversed pair are
+        # canonicalized by submit_answer (see test_reversed_pairs.py).
         distributions, space = build_instance()
         session = InteractiveSession(distributions, 4, space)
         question = session.next_question()
@@ -114,7 +114,7 @@ class TestSnapshotRoundTrip:
         distributions, space = build_instance(n=8, k=3, seed=3)
         session = InteractiveSession(distributions, 3, space)
         question = session.next_question()
-        session.submit_answer(question, True, accuracy=0.8)
+        session.submit_answer(question.i, question.j, True, accuracy=0.8)
         restored = InteractiveSession.restore(
             session.snapshot(), distributions, space
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.devtools.lint.baseline import (
+from repro.devtools.baseline import (
     PLACEHOLDER_REASON,
     BaselineEntry,
     apply_baseline,

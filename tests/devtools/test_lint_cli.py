@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.devtools.lint.cli import main as lint_main
-from repro.devtools.lint.formats import JSON_FORMAT_VERSION
+from repro.devtools.formats import JSON_FORMAT_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "rpl008" / "bad"

@@ -120,19 +120,16 @@ class TestRequestModels:
 
     def test_answer_request_rejects_unknown_fields_when_strict(self):
         # A misspelled "accuracy" must not silently apply a full-weight
-        # (hard-pruning) answer on the strict /v1 surface.
+        # (hard-pruning) answer; /v1 parsing is always strict.
         body = {"i": 0, "j": 1, "holds": True, "acuracy": 0.7}
         with pytest.raises(ProtocolError, match="acuracy"):
             AnswerRequest.from_body(body)
-        lenient = AnswerRequest.from_body(body, strict=False)
-        assert lenient.accuracy == 1.0  # legacy routes keep old behavior
 
     def test_error_envelope_shapes(self):
         envelope = ErrorEnvelope(404, "gone", detail={"x": 1})
         assert envelope.to_payload() == {
             "error": {"code": "not_found", "message": "gone", "detail": {"x": 1}}
         }
-        assert envelope.to_legacy_payload() == {"error": "gone"}
 
     def test_every_error_status_has_a_code(self):
         assert set(ERROR_CODES) == {400, 404, 405, 409, 413, 500, 502, 503}
@@ -414,6 +411,21 @@ class TestV1ErrorEnvelopes:
 
         with_server(scenario)
 
+    def test_409_duplicate_session_id(self):
+        async def scenario(host, port, manager):
+            body = {"spec": SPEC, "session_id": "dup"}
+            status, _, _ = await http(host, port, "POST", "/v1/sessions", body)
+            assert status == 200
+            status, _, payload = await http(
+                host, port, "POST", "/v1/sessions", body
+            )
+            assert status == 409
+            error = assert_envelope(payload, "conflict")
+            assert "'dup' already exists" in error["message"]
+            assert manager.session_ids(status=None) == ["dup"]
+
+        with_server(scenario)
+
     def test_413_oversized_body(self):
         async def scenario(host, port, manager):
             # Claim a giant body; the server must refuse before reading it.
@@ -432,28 +444,38 @@ class TestV1ErrorEnvelopes:
         with_server(scenario)
 
 
-class TestLegacyAliases:
-    def test_unversioned_routes_keep_flat_errors_and_warn(self):
+class TestUnversionedPaths:
+    """Only ``/v1`` is routed: the pre-``/v1`` paths are unknown routes."""
+
+    def test_unversioned_routes_get_the_v1_404_envelope(self):
         async def scenario(host, port, manager):
-            status, headers, body = await http(
-                host, port, "GET", "/sessions/ghost"
-            )
-            assert status == 404
-            assert body == {"error": "no session 'ghost'"}
-            assert headers.get("deprecation") == "true"
+            for method, path, body in (
+                ("GET", "/sessions/ghost", None),
+                ("GET", "/healthz", None),
+                ("GET", "/stats", None),
+                ("POST", "/sessions", {"spec": SPEC}),
+            ):
+                status, headers, payload = await http(
+                    host, port, method, path, body
+                )
+                assert status == 404
+                error = assert_envelope(payload, "not_found")
+                assert error["message"] == f"no route for {method} {path}"
+                assert "deprecation" not in headers
+            assert manager.session_ids(status=None) == []
 
         with_server(scenario)
 
-    def test_body_parse_errors_stay_flat_on_legacy_paths(self):
-        """Errors raised while reading the body (bad JSON, oversized)
-        must still render in the legacy flat shape for legacy paths."""
+    def test_body_parse_errors_use_the_envelope(self):
+        """Errors raised while reading the body (bad JSON, oversized, a
+        bare spec without the ``spec`` wrapper) render as envelopes."""
 
         async def scenario(host, port, manager):
             reader, writer = await asyncio.open_connection(host, port)
             payload = b"{not json"
             writer.write(
                 (
-                    f"POST /sessions HTTP/1.1\r\nHost: {host}\r\n"
+                    f"POST /v1/sessions HTTP/1.1\r\nHost: {host}\r\n"
                     f"Content-Length: {len(payload)}\r\n\r\n"
                 ).encode()
                 + payload
@@ -463,24 +485,28 @@ class TestLegacyAliases:
             writer.close()
             head, _, body_raw = raw.partition(b"\r\n\r\n")
             assert b" 400 " in head.split(b"\r\n", 1)[0]
-            body = json.loads(body_raw)
-            assert body == {"error": "request body is not valid JSON"}
-            assert b"Deprecation: true" in head
-            # Oversized legacy body: flat 413.
-            status, headers, body = await http(
+            error = assert_envelope(json.loads(body_raw), "bad_request")
+            assert error["message"] == "request body is not valid JSON"
+            assert b"Deprecation" not in head
+            status, _, body = await http(
                 host,
                 port,
                 "POST",
-                "/sessions",
+                "/v1/sessions",
                 {"spec": SPEC},
                 content_length=(1 << 20) + 1,
             )
             assert status == 413
-            assert body == {"error": "request body too large"}
+            assert_envelope(body, "payload_too_large")
+            status, _, body = await http(
+                host, port, "POST", "/v1/sessions", SPEC
+            )
+            assert status == 400
+            assert "spec" in assert_envelope(body, "bad_request")["message"]
 
         with_server(scenario)
 
-    def test_v1_answers_reject_unknown_fields_legacy_does_not(self):
+    def test_v1_answers_reject_unknown_fields(self):
         async def scenario(host, port, manager):
             _, _, created = await http(
                 host, port, "POST", "/v1/sessions", {"spec": SPEC}
@@ -497,9 +523,6 @@ class TestLegacyAliases:
             assert "acuracy" in assert_envelope(body, "bad_request")[
                 "message"
             ]
-            status, _, body = await http(
-                host, port, "POST", f"/sessions/{sid}/answers", answer
-            )
-            assert status == 200 and body["questions_asked"] == 1
+            assert manager.questions_asked(sid) == 0
 
         with_server(scenario)

@@ -53,7 +53,7 @@ def with_server(coro):
 class TestRoutes:
     def test_healthz(self):
         async def scenario(host, port, manager):
-            assert await http(host, port, "GET", "/healthz") == (
+            assert await http(host, port, "GET", "/v1/healthz") == (
                 200,
                 {"ok": True},
             )
@@ -63,13 +63,13 @@ class TestRoutes:
     def test_session_lifecycle_over_http(self):
         async def scenario(host, port, manager):
             status, created = await http(
-                host, port, "POST", "/sessions", {"spec": SPEC}
+                host, port, "POST", "/v1/sessions", {"spec": SPEC}
             )
             assert status == 200
             sid = created["session_id"]
 
             status, nxt = await http(
-                host, port, "GET", f"/sessions/{sid}/next"
+                host, port, "GET", f"/v1/sessions/{sid}/next"
             )
             assert status == 200 and "question" in nxt
             question = nxt["question"]
@@ -78,14 +78,14 @@ class TestRoutes:
                 host,
                 port,
                 "POST",
-                f"/sessions/{sid}/answers",
+                f"/v1/sessions/{sid}/answers",
                 {"i": question["i"], "j": question["j"], "holds": True},
             )
             assert status == 200
             assert applied["questions_asked"] == 1
 
             status, snapshot = await http(
-                host, port, "GET", f"/sessions/{sid}"
+                host, port, "GET", f"/v1/sessions/{sid}"
             )
             assert status == 200
             assert snapshot["snapshot"]["answers"] == [
@@ -94,10 +94,10 @@ class TestRoutes:
             assert len(snapshot["top_k"]) == 3
 
             status, closed = await http(
-                host, port, "POST", f"/sessions/{sid}/close"
+                host, port, "POST", f"/v1/sessions/{sid}/close"
             )
             assert status == 200 and closed["closed"] is True
-            status, _ = await http(host, port, "GET", f"/sessions/{sid}/next")
+            status, _ = await http(host, port, "GET", f"/v1/sessions/{sid}/next")
             assert status == 409
 
         with_server(scenario)
@@ -109,12 +109,12 @@ class TestRoutes:
                     host,
                     port,
                     "POST",
-                    "/sessions",
+                    "/v1/sessions",
                     {"spec": SPEC, "session_id": sid},
                 )
             responses = await asyncio.gather(
                 *(
-                    http(host, port, "GET", f"/sessions/{sid}/next")
+                    http(host, port, "GET", f"/v1/sessions/{sid}/next")
                     for sid in ("a", "b", "c")
                 )
             )
@@ -130,10 +130,10 @@ class TestRoutes:
 
     def test_errors_are_json_with_status(self):
         async def scenario(host, port, manager):
-            status, body = await http(host, port, "GET", "/sessions/ghost")
+            status, body = await http(host, port, "GET", "/v1/sessions/ghost")
             assert status == 404 and "error" in body
             status, body = await http(
-                host, port, "POST", "/sessions", {"spec": {"workload": "nope"}}
+                host, port, "POST", "/v1/sessions", {"spec": {"workload": "nope"}}
             )
             assert status == 400 and "error" in body
             # Bad *generator* params surface as TypeError deep inside the
@@ -142,22 +142,22 @@ class TestRoutes:
                 host,
                 port,
                 "POST",
-                "/sessions",
+                "/v1/sessions",
                 {"spec": {**SPEC, "params": {"bogus": 1}}},
             )
             assert status == 400 and "error" in body
             status, body = await http(host, port, "GET", "/nope")
             assert status == 404
-            status, body = await http(host, port, "PUT", "/sessions")
+            status, body = await http(host, port, "PUT", "/v1/sessions")
             assert status == 405
             sid_status, created = await http(
-                host, port, "POST", "/sessions", {"spec": SPEC}
+                host, port, "POST", "/v1/sessions", {"spec": SPEC}
             )
             sid = created["session_id"]
             status, body = await http(
-                host, port, "POST", f"/sessions/{sid}/answers", {"i": 0}
+                host, port, "POST", f"/v1/sessions/{sid}/answers", {"i": 0}
             )
-            assert status == 400 and "holds" in body["error"]
+            assert status == 400 and "holds" in body["error"]["message"]
 
         with_server(scenario)
 
@@ -169,7 +169,7 @@ class TestRoutes:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 (
-                    f"DELETE /sessions/some-id HTTP/1.1\r\nHost: {host}\r\n"
+                    f"DELETE /v1/sessions/some-id HTTP/1.1\r\nHost: {host}\r\n"
                     f"Content-Length: 0\r\n\r\n"
                 ).encode()
             )
@@ -183,13 +183,13 @@ class TestRoutes:
                 line.split(": ", 1) for line in header_lines if ": " in line
             )
             assert headers["Allow"] == "GET"
-            assert json.loads(body_raw)["error"] == (
-                "DELETE not allowed on /sessions/{session_id}"
+            assert json.loads(body_raw)["error"]["message"] == (
+                "DELETE not allowed on /v1/sessions/{session_id}"
             )
             # The same request against a multi-method route lists them all.
-            status, body = await http(host, port, "PATCH", "/sessions")
+            status, body = await http(host, port, "PATCH", "/v1/sessions")
             assert status == 405
-            assert "GET" in body["error"] or "not allowed" in body["error"]
+            assert "not allowed" in body["error"]["message"]
 
         with_server(scenario)
 
@@ -199,7 +199,7 @@ class TestRoutes:
             payload = b"{not json"
             writer.write(
                 (
-                    f"POST /sessions HTTP/1.1\r\nHost: {host}\r\n"
+                    f"POST /v1/sessions HTTP/1.1\r\nHost: {host}\r\n"
                     f"Content-Length: {len(payload)}\r\n\r\n"
                 ).encode()
                 + payload
@@ -217,15 +217,15 @@ class TestRoutes:
                 host,
                 port,
                 "POST",
-                "/sessions",
+                "/v1/sessions",
                 {"spec": SPEC, "session_id": "a"},
             )
-            await http(host, port, "GET", "/sessions/a/next")
-            status, stats = await http(host, port, "GET", "/stats")
+            await http(host, port, "GET", "/v1/sessions/a/next")
+            status, stats = await http(host, port, "GET", "/v1/stats")
             assert status == 200
             assert stats["next_requests"] == 1
             assert stats["cache"]["misses"] == 1
-            status, listing = await http(host, port, "GET", "/sessions")
+            status, listing = await http(host, port, "GET", "/v1/sessions")
             assert listing["sessions"] == ["a"]
 
         with_server(scenario)

@@ -187,21 +187,24 @@ class TestFleetHttp:
 
         with_fleet(scenario, tmp_path)
 
-    def test_legacy_unversioned_paths_still_route(self, tmp_path):
+    def test_unversioned_paths_are_404_at_the_router(self, tmp_path):
         async def scenario(host, port, service):
-            assert await http(host, port, "GET", "/healthz") == (
-                200,
-                {"ok": True},
+            for method, path, body in (
+                ("GET", "/healthz", None),
+                ("POST", "/sessions", {"spec": SPEC}),
+                ("GET", "/sessions/x/next", None),
+            ):
+                status, payload = await http(host, port, method, path, body)
+                assert status == 404
+                assert payload["error"]["code"] == "not_found"
+            # A bare spec (no "spec" wrapper) is a bad /v1 create body.
+            status, payload = await http(
+                host, port, "POST", "/v1/sessions", SPEC
             )
-            status, created = await http(
-                host, port, "POST", "/sessions", SPEC
-            )  # legacy bare-spec body
-            assert status == 200
-            sid = created["session_id"]
-            status, nxt = await http(
-                host, port, "GET", f"/sessions/{sid}/next"
-            )
-            assert status == 200 and "question" in nxt
+            assert status == 400
+            assert payload["error"]["code"] == "bad_request"
+            _, listed = await http(host, port, "GET", "/v1/sessions")
+            assert listed["sessions"] == []
 
         with_fleet(scenario, tmp_path)
 
@@ -220,6 +223,16 @@ class TestFleetHttp:
                 host, port, "GET", "/v1/sessions/pinned"
             )
             assert status == 200
+            # Reusing the id reaches the same shard and conflicts there.
+            status, payload = await http(
+                host,
+                port,
+                "POST",
+                "/v1/sessions",
+                {"spec": SPEC, "session_id": "pinned"},
+            )
+            assert status == 409
+            assert payload["error"]["code"] == "conflict"
 
         with_fleet(scenario, tmp_path)
 
